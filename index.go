@@ -70,7 +70,9 @@ type Index struct {
 	// Query-signature depths, split by representation and use so each
 	// call hashes only what it reads: banding depths feed the table
 	// probes, verification depths feed the per-candidate verifier
-	// (TopK skips the latter entirely). 0 means unused.
+	// (TopK skips the latter entirely; a cosine query's bits are grown
+	// toward verifyBits only as its candidates' rounds need them). 0
+	// means unused.
 	bandBits, verifyBits int  // packed-bit depths (cosine measures)
 	bandMin, verifyMin   int  // minhash depths (Jaccard)
 	packOneBit           bool // queries additionally pack minhashes to 1-bit

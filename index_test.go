@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"bayeslsh/internal/core"
 )
 
 // queryTestConfig describes one measure's cross-check setup, matching
@@ -143,6 +145,30 @@ func TestQueryDeterminism(t *testing.T) {
 		}
 		requireSameMatches(t, got, want)
 	}
+
+	// A batch on a freshly built engine at Parallelism 4 and the full
+	// 2048-bit budget: its workers grow their lazy query signatures
+	// concurrently, materializing the deep hash blocks at the same
+	// time. It must equal sequential Query.
+	fresh := func(parallelism int) *Index {
+		ix, err := NewIndex(ds, Cosine, EngineConfig{Seed: 7, Parallelism: parallelism}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	batch, err := fresh(4).QueryBatch(queries, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := fresh(1)
+	seqQuery := make([][]Match, len(queries))
+	for i, q := range queries {
+		if seqQuery[i], err = single.Query(q, QueryOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireSameMatches(t, batch, seqQuery)
 
 	// Concurrent single queries against one shared index (exercises
 	// the lazily filled signature stores under the race detector).
@@ -350,5 +376,54 @@ func TestIndexStats(t *testing.T) {
 	}
 	if ix.Len() != ds.Len() || ix.Measure() != Jaccard || ix.Threshold() != 0.4 {
 		t.Fatalf("accessors wrong: len %d measure %v t %v", ix.Len(), ix.Measure(), ix.Threshold())
+	}
+}
+
+// TestQueryHashDepth pins lazy query hashing on RCV1-sim (seed 42,
+// t = 0.7, LSH+BayesLSH) over a fixed set of self-queries. prepare
+// hashes a query to banding depth only, rounded up to a whole block;
+// verification deepens it to exactly the deepest round any candidate
+// reaches, rounded up to a block, as measured by verifying each
+// candidate alone against an eagerly hashed signature. The total
+// blocks hashed over the set is a golden count, so a regression to
+// eager hashing fails exactly.
+func TestQueryHashDepth(t *testing.T) {
+	const goldenBlocks = 508 // eager hashing: 100 queries × 16 blocks = 1600
+	ds := testDataset(t).TfIdf().Normalize()
+	ix, err := NewIndex(ds, Cosine, EngineConfig{Seed: 42}, Options{Algorithm: LSHBayesLSH, Threshold: 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := ix.engine().bitSigStore().Family()
+	bb := fam.BlockBits()
+	roundUp := func(bits int) int { return (bits + bb - 1) / bb * bb }
+	bandDepth := roundUp(ix.bandBits)
+	if bandDepth != 384 {
+		t.Fatalf("banding depth %d bits (band bits %d), want 384", bandDepth, ix.bandBits)
+	}
+	blocks := 0
+	for i := 0; i < ds.Len(); i += 40 {
+		qs := ix.prepare(ds.Vector(i), false)
+		if got := qs.lazy.FilledBits(); got != bandDepth {
+			t.Fatalf("query %d: %d bits hashed after prepare, want %d", i, got, bandDepth)
+		}
+		ids := ix.candidates(qs)
+		if _, err := ix.verify(qs, ids, nil); err != nil {
+			t.Fatal(err)
+		}
+		deepest := 0
+		full := fam.SignatureN(restrictToDim(qs.work, fam.Dim()), ix.verifyBits)
+		for _, id := range ids {
+			_, st := ix.vq.VerifyQuery(core.QuerySig{Bits: full}, []int32{id})
+			deepest = max(deepest, int(st.HashesCompared))
+		}
+		want := max(bandDepth, roundUp(deepest))
+		if got := qs.lazy.FilledBits(); got != want {
+			t.Fatalf("query %d: %d bits hashed after verification, want %d (deepest round %d)", i, got, want, deepest)
+		}
+		blocks += qs.lazy.FilledBits() / bb
+	}
+	if blocks != goldenBlocks {
+		t.Fatalf("%d blocks hashed over the query set, golden %d", blocks, goldenBlocks)
 	}
 }

@@ -18,8 +18,7 @@
 package allpairs
 
 import (
-	"sort"
-
+	"bayeslsh/internal/pair"
 	"bayeslsh/internal/vector"
 )
 
@@ -45,22 +44,9 @@ func (d *Delta) Add(id int32, v vector.Vector) {
 // superset of the corpus vectors whose similarity to q meets any
 // positive threshold.
 func (d *Delta) Probe(q vector.Vector, n int32) []int32 {
-	seen := make(map[int32]struct{})
+	seen := pair.NewIDSet(int(n))
 	for _, f := range q.Ind {
-		for _, id := range d.lists[f] {
-			if id >= n {
-				break
-			}
-			seen[id] = struct{}{}
-		}
+		seen.AddBelow(d.lists[f], n)
 	}
-	if len(seen) == 0 {
-		return nil
-	}
-	ids := make([]int32, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return seen.IDs()
 }

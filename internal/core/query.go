@@ -18,10 +18,24 @@ import (
 
 // QuerySig carries a query's signature in whichever representation
 // the verifier compares: packed bits (cosine and 1-bit Jaccard) or
-// minhashes (Jaccard). Exactly one field is consulted per verifier.
+// minhashes (Jaccard). Bits may be given eagerly, hashed at least as
+// deep as verification reads, or as Lazy, a cosine signature the
+// verifier grows block by block before each comparison that reads
+// past its filled prefix; Lazy takes precedence. Exactly one
+// representation is consulted per verifier.
 type QuerySig struct {
 	Bits []uint64
+	Lazy *sighash.LazySig
 	Min  []uint32
+}
+
+// BitsTo returns the query's packed bits, filled at least to bit to.
+func (q QuerySig) BitsTo(to int) []uint64 {
+	if q.Lazy == nil {
+		return q.Bits
+	}
+	q.Lazy.Ensure(to)
+	return q.Lazy.Words()
 }
 
 // QuerySimFunc computes the exact similarity of the query to corpus
@@ -207,12 +221,12 @@ func (v *JaccardVerifier) VerifyQueryLiteStop(q QuerySig, ids []int32, h int, si
 // qmatch builds the cosine one-sided match hook.
 func (v *CosineVerifier) qmatch(q QuerySig) func(id int32, from, to int) int {
 	return func(id int32, from, to int) int {
-		return sighash.MatchCount(q.Bits, v.sigs[id], from, to)
+		return sighash.MatchCount(q.BitsTo(to), v.sigs[id], from, to)
 	}
 }
 
 // VerifyQuery runs BayesLSH for the query bit signature (q.Bits, at
-// least MaxHashes bits) against the candidate corpus ids.
+// least MaxHashes bits, or q.Lazy) against the candidate corpus ids.
 func (v *CosineVerifier) VerifyQuery(q QuerySig, ids []int32) ([]pair.Hit, Stats) {
 	return v.k.verifyQuery(ids, v.qmatch(q), nil)
 }

@@ -14,6 +14,8 @@
 
 package lshindex
 
+import "bayeslsh/internal/pair"
+
 // BitsDelta is an incrementally grown set of l banded hash tables over
 // packed bit signatures.
 type BitsDelta struct {
@@ -48,17 +50,17 @@ func (d *BitsDelta) Add(id int32, sig []uint64) {
 // sig's band key), deduplicated and in ascending id order — the delta
 // twin of BitsTables.Probe.
 func (d *BitsDelta) Probe(sig []uint64, n int32) []int32 {
-	seen := make(map[int32]struct{})
+	seen := pair.NewIDSet(int(n))
 	for band := 0; band < d.l; band++ {
 		key := bitsBand(sig, band*d.k, d.k)
-		collectDeltaBucket(seen, d.tables[band][key], n)
+		seen.AddBelow(d.tables[band][key], n)
 		if d.multiProbe {
 			for b := 0; b < d.k; b++ {
-				collectDeltaBucket(seen, d.tables[band][key^(1<<b)], n)
+				seen.AddBelow(d.tables[band][key^(1<<b)], n)
 			}
 		}
 	}
-	return sortedIDs(seen)
+	return seen.IDs()
 }
 
 // MinhashDelta is an incrementally grown set of l banded hash tables
@@ -93,23 +95,10 @@ func (d *MinhashDelta) Add(id int32, sig []uint32) {
 // deduplicated and in ascending id order — the delta twin of
 // MinhashTables.Probe.
 func (d *MinhashDelta) Probe(sig []uint32, n int32) []int32 {
-	seen := make(map[int32]struct{})
+	seen := pair.NewIDSet(int(n))
 	scratch := make([]uint64, (d.k+1)/2)
 	for band := 0; band < d.l; band++ {
-		key := minhashBandKey(sig, band, d.k, scratch)
-		collectDeltaBucket(seen, d.tables[band][key], n)
+		seen.AddBelow(d.tables[band][minhashBandKey(sig, band, d.k, scratch)], n)
 	}
-	return sortedIDs(seen)
-}
-
-// collectDeltaBucket adds the bucket's ids below the visibility bound
-// n to the seen-set. Buckets are appended in id order, so the suffix
-// beyond the first id >= n is invisible by construction.
-func collectDeltaBucket(seen map[int32]struct{}, bucket []int32, n int32) {
-	for _, id := range bucket {
-		if id >= n {
-			return
-		}
-		seen[id] = struct{}{}
-	}
+	return seen.IDs()
 }

@@ -24,7 +24,7 @@ func (t *BitsTables) WriteSnapshot(w *snapshot.Writer) {
 // ReadBitsTablesSnapshot decodes tables written by
 // BitsTables.WriteSnapshot over a corpus of n vectors.
 func ReadBitsTablesSnapshot(r *snapshot.Reader, n int) (*BitsTables, error) {
-	t := &BitsTables{k: int(r.U32()), l: int(r.U32()), multiProbe: r.Bool()}
+	t := &BitsTables{k: int(r.U32()), l: int(r.U32()), n: n, multiProbe: r.Bool()}
 	if r.Err() == nil && (t.k < 1 || t.k > 64 || t.l < 1) {
 		return nil, snapshot.Failf(r, "band shape k=%d l=%d", t.k, t.l)
 	}
@@ -46,7 +46,7 @@ func (t *MinhashTables) WriteSnapshot(w *snapshot.Writer) {
 // ReadMinhashTablesSnapshot decodes tables written by
 // MinhashTables.WriteSnapshot over a corpus of n vectors.
 func ReadMinhashTablesSnapshot(r *snapshot.Reader, n int) (*MinhashTables, error) {
-	t := &MinhashTables{k: int(r.U32()), l: int(r.U32())}
+	t := &MinhashTables{k: int(r.U32()), l: int(r.U32()), n: n}
 	if r.Err() == nil && (t.k < 1 || t.l < 1) {
 		return nil, snapshot.Failf(r, "band shape k=%d l=%d", t.k, t.l)
 	}

@@ -13,8 +13,7 @@
 package lshindex
 
 import (
-	"sort"
-
+	"bayeslsh/internal/pair"
 	"bayeslsh/internal/shard"
 )
 
@@ -22,6 +21,7 @@ import (
 // signatures (cosine hyperplane hashes), serving point probes.
 type BitsTables struct {
 	k, l       int
+	n          int // corpus size: every bucketed id is below it
 	multiProbe bool
 	tables     []map[uint64][]int32
 }
@@ -35,7 +35,7 @@ func BuildBits(sigs [][]uint64, k, l, workers int, multiProbe bool) (*BitsTables
 	if err := validateBits(sigs, k, l); err != nil {
 		return nil, err
 	}
-	t := &BitsTables{k: k, l: l, multiProbe: multiProbe, tables: make([]map[uint64][]int32, l)}
+	t := &BitsTables{k: k, l: l, n: len(sigs), multiProbe: multiProbe, tables: make([]map[uint64][]int32, l)}
 	shard.Run(l, workers, 1, func(_, _, band int) {
 		buckets := make(map[uint64][]int32)
 		fillBitsBuckets(buckets, sigs, band, k)
@@ -55,27 +55,24 @@ func (t *BitsTables) BandK() int { return t.k }
 // from sig's band key), deduplicated and in ascending id order. sig
 // must cover at least k*l bits.
 func (t *BitsTables) Probe(sig []uint64) []int32 {
-	seen := make(map[int32]struct{})
+	seen := pair.NewIDSet(t.n)
 	for band := 0; band < t.l; band++ {
 		key := bitsBand(sig, band*t.k, t.k)
-		for _, id := range t.tables[band][key] {
-			seen[id] = struct{}{}
-		}
+		seen.Add(t.tables[band][key])
 		if t.multiProbe {
 			for b := 0; b < t.k; b++ {
-				for _, id := range t.tables[band][key^(1<<b)] {
-					seen[id] = struct{}{}
-				}
+				seen.Add(t.tables[band][key^(1<<b)])
 			}
 		}
 	}
-	return sortedIDs(seen)
+	return seen.IDs()
 }
 
 // MinhashTables is a built set of l banded hash tables over minhash
 // signatures, serving point probes.
 type MinhashTables struct {
 	k, l   int
+	n      int // corpus size: every bucketed id is below it
 	tables []map[uint64][]int32
 }
 
@@ -86,7 +83,7 @@ func BuildMinhash(sigs [][]uint32, k, l, workers int) (*MinhashTables, error) {
 	if err := validateMinhash(sigs, k, l); err != nil {
 		return nil, err
 	}
-	t := &MinhashTables{k: k, l: l, tables: make([]map[uint64][]int32, l)}
+	t := &MinhashTables{k: k, l: l, n: len(sigs), tables: make([]map[uint64][]int32, l)}
 	shard.Run(l, workers, 1, func(_, _, band int) {
 		buckets := make(map[uint64][]int32)
 		scratch := make([]uint64, (k+1)/2)
@@ -106,15 +103,12 @@ func (t *MinhashTables) BandK() int { return t.k }
 // any band, deduplicated and in ascending id order. sig must cover at
 // least k*l hashes.
 func (t *MinhashTables) Probe(sig []uint32) []int32 {
-	seen := make(map[int32]struct{})
+	seen := pair.NewIDSet(t.n)
 	scratch := make([]uint64, (t.k+1)/2)
 	for band := 0; band < t.l; band++ {
-		key := minhashBandKey(sig, band, t.k, scratch)
-		for _, id := range t.tables[band][key] {
-			seen[id] = struct{}{}
-		}
+		seen.Add(t.tables[band][minhashBandKey(sig, band, t.k, scratch)])
 	}
-	return sortedIDs(seen)
+	return seen.IDs()
 }
 
 // minhashBandKey computes the band key of hash positions
@@ -129,17 +123,4 @@ func minhashBandKey(sig []uint32, band, k int, scratch []uint64) uint64 {
 		scratch[i/2] |= uint64(sig[from+i]) << (32 * (i % 2))
 	}
 	return fnv1a64(uint64(band)+1, scratch)
-}
-
-// sortedIDs flattens a seen-set into an ascending id slice.
-func sortedIDs(seen map[int32]struct{}) []int32 {
-	if len(seen) == 0 {
-		return nil
-	}
-	ids := make([]int32, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

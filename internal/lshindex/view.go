@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 
+	"bayeslsh/internal/pair"
 	"bayeslsh/internal/snapshot"
 )
 
@@ -243,7 +244,7 @@ func (t *BitsView) Validate() error {
 // Probe mirrors BitsTables.Probe over the mapped runs: same band
 // keys, same multi-probe neighborhood, same dedup'd ascending result.
 func (t *BitsView) Probe(sig []uint64) []int32 {
-	seen := make(map[int32]struct{})
+	seen := pair.NewIDSet(t.n)
 	var scratch []int32
 	for band := 0; band < t.l; band++ {
 		key := bitsBand(sig, band*t.k, t.k)
@@ -253,11 +254,9 @@ func (t *BitsView) Probe(sig []uint64) []int32 {
 				scratch = t.bands[band].lookup(key^(1<<b), scratch, t.n)
 			}
 		}
-		for _, id := range scratch {
-			seen[id] = struct{}{}
-		}
+		seen.Add(scratch)
 	}
-	return sortedIDs(seen)
+	return seen.IDs()
 }
 
 // MinhashView is BitsView for minhash band tables.
@@ -308,15 +307,13 @@ func (t *MinhashView) Validate() error {
 
 // Probe mirrors MinhashTables.Probe over the mapped runs.
 func (t *MinhashView) Probe(sig []uint32) []int32 {
-	seen := make(map[int32]struct{})
+	seen := pair.NewIDSet(t.n)
 	scratch := make([]uint64, (t.k+1)/2)
 	var ids []int32
 	for band := 0; band < t.l; band++ {
 		key := minhashBandKey(sig, band, t.k, scratch)
 		ids = t.bands[band].lookup(key, ids[:0], t.n)
-		for _, id := range ids {
-			seen[id] = struct{}{}
-		}
+		seen.Add(ids)
 	}
-	return sortedIDs(seen)
+	return seen.IDs()
 }

@@ -6,7 +6,9 @@
 //
 // Pair identifies two distinct corpus vectors, normalized so A < B,
 // and packs into a single 64-bit key for deduplication; Set is the
-// deduplicating collector candidate generation merges into. Result is
+// deduplicating collector candidate generation merges into. IDSet is
+// its one-sided twin, a bitset the point probes collect candidate ids
+// into, which yields them ascending without a sort. Result is
 // a pair that passed verification, carrying its exact or estimated
 // similarity. Hit is the one-sided counterpart for the query-serving
 // path: a corpus id similar to an (out-of-corpus) query vector.

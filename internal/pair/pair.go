@@ -1,6 +1,9 @@
 package pair
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Pair identifies two distinct vectors by their collection indices,
 // normalized so that A < B.
@@ -101,3 +104,51 @@ func (s *Set) Len() int { return len(s.list) }
 // Pairs returns the collected pairs in insertion order. The returned
 // slice is owned by the set; callers must not modify it.
 func (s *Set) Pairs() []Pair { return s.list }
+
+// IDSet is a dense deduplicating collector of ids in [0, n): one bit
+// per id, drained word by word, so ids come out ascending without a
+// sort. It is the candidate dedup of every point probe, where one
+// query's ids repeat across bands and multi-probe neighbours.
+type IDSet struct {
+	words []uint64
+}
+
+// NewIDSet returns an empty set over ids in [0, n).
+func NewIDSet(n int) IDSet { return IDSet{words: make([]uint64, (n+63)/64)} }
+
+// Add inserts each id of ids.
+func (s IDSet) Add(ids []int32) {
+	for _, id := range ids {
+		s.words[id>>6] |= 1 << (id & 63)
+	}
+}
+
+// AddBelow inserts the ids of the ascending list ids that are below
+// bound, stopping at the first one that is not.
+func (s IDSet) AddBelow(ids []int32, bound int32) {
+	for _, id := range ids {
+		if id >= bound {
+			return
+		}
+		s.words[id>>6] |= 1 << (id & 63)
+	}
+}
+
+// IDs returns the collected ids in ascending order, nil when empty.
+func (s IDSet) IDs() []int32 {
+	n := 0
+	for _, w := range s.words {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return nil
+	}
+	ids := make([]int32, 0, n)
+	for i, w := range s.words {
+		for w != 0 {
+			ids = append(ids, int32(i<<6|bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return ids
+}

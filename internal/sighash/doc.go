@@ -34,8 +34,10 @@
 //
 // # Query hashing
 //
-// BlockFamily.SignatureN hashes a single out-of-corpus vector against
-// the same streams, the entry point of the engine's query-serving
-// index: a query equal to a corpus vector hashes to exactly that
-// vector's stored signature prefix.
+// LazySig hashes a single out-of-corpus vector against the same
+// streams, the entry point of the engine's query-serving index. Like
+// Store it fills block by block, so a served query is hashed only as
+// deep as its deepest surviving candidate is compared; a query equal
+// to a corpus vector hashes to exactly that vector's stored signature
+// prefix. BlockFamily.SignatureN is a LazySig filled in one call.
 package sighash

@@ -142,25 +142,67 @@ func (f *BlockFamily) signBlock(v vector.Vector, b int, sig []uint64, acc []floa
 	}
 }
 
-// SignatureN computes bits [0, nbits) of v's signature in one call,
-// the hashing path for out-of-corpus query vectors. nbits is rounded
-// up to whole blocks and must not exceed MaxBits. Blocks derive from
-// the same (seed, feature, block) streams the lazy Store fills use, so
-// a query vector equal to a corpus vector yields a prefix bit-identical
-// to that vector's stored signature.
+// SignatureN computes bits [0, nbits) of v's signature in one call:
+// a LazySig grown to its full capacity. nbits is rounded up to whole
+// blocks and must not exceed MaxBits.
 func (f *BlockFamily) SignatureN(v vector.Vector, nbits int) []uint64 {
-	bb := f.blockBits
-	to := (nbits + bb - 1) / bb
-	if to*bb > f.maxBits {
-		panic("sighash: SignatureN beyond family capacity")
-	}
-	sig := make([]uint64, to*bb/64)
-	acc := make([]float64, bb)
-	for b := 0; b < to; b++ {
-		f.signBlock(v, b, sig, acc)
-	}
-	return sig
+	l := f.NewLazySig(v, nbits)
+	l.Ensure(nbits)
+	return l.Words()
 }
+
+// LazySig is the query-side twin of Store: the bit signature of one
+// out-of-corpus vector, filled block by block only as deep as the
+// comparisons against it read. Blocks derive from the same (seed,
+// feature, block) streams the Store fills use, so a query vector equal
+// to a corpus vector yields a prefix bit-identical to that vector's
+// stored signature at every depth. A LazySig belongs to one query and
+// is not safe for concurrent use; the family's block materialization
+// it triggers is.
+type LazySig struct {
+	fam    *BlockFamily
+	v      vector.Vector
+	sig    []uint64 // full capacity allocated; filled lazily
+	acc    []float64
+	filled int
+}
+
+// NewLazySig returns v's signature with capacity for capBits bits
+// (rounded up to whole blocks, at most MaxBits) and nothing hashed
+// yet.
+func (f *BlockFamily) NewLazySig(v vector.Vector, capBits int) *LazySig {
+	bb := f.blockBits
+	capBits = (capBits + bb - 1) / bb * bb
+	if capBits > f.maxBits {
+		panic("sighash: LazySig beyond family capacity")
+	}
+	return &LazySig{fam: f, v: v, sig: make([]uint64, capBits/64), acc: make([]float64, bb)}
+}
+
+// Ensure fills the signature up to at least nbits bits (rounded up to
+// whole blocks). It panics beyond the signature's capacity.
+func (l *LazySig) Ensure(nbits int) {
+	if nbits <= l.filled {
+		return
+	}
+	bb := l.fam.blockBits
+	to := (nbits + bb - 1) / bb
+	if to*bb > 64*len(l.sig) {
+		panic("sighash: LazySig.Ensure beyond capacity")
+	}
+	for b := l.filled / bb; b < to; b++ {
+		l.fam.signBlock(l.v, b, l.sig, l.acc)
+	}
+	l.filled = to * bb
+}
+
+// Words returns the packed signature at full capacity. The slice
+// header is stable for the signature's lifetime; words beyond the
+// filled prefix are zero until Ensure reaches them.
+func (l *LazySig) Words() []uint64 { return l.sig }
+
+// FilledBits returns how many bits are hashed so far.
+func (l *LazySig) FilledBits() int { return l.filled }
 
 // Store lazily computes and caches packed bit signatures per vector,
 // extending them block-by-block as verification demands deeper hash
@@ -206,7 +248,7 @@ func (s *Store) Sigs() [][]uint64 { return s.sigs }
 func (s *Store) MaxBits() int { return s.fam.maxBits }
 
 // Family returns the store's hash family, for hashing out-of-corpus
-// query vectors against the same streams (see SignatureN).
+// query vectors against the same streams (see LazySig).
 func (s *Store) Family() *BlockFamily { return s.fam }
 
 // FilledBits returns how many hash bits of vector id are computed.

@@ -740,7 +740,7 @@ func (li *LiveIndex) deltaSeg(gen *liveGen, view live.View, vq core.QueryVerifie
 			if li.measure == Jaccard {
 				return approxJaccardEstimate(minhash.Matches(qs.min, view.Min[slot], 0, n), n)
 			}
-			return approxCosineEstimate(sighash.MatchCount(qs.bits, view.Bits[slot], 0, n), n)
+			return approxCosineEstimate(sighash.MatchCount(qs.sig().BitsTo(n), view.Bits[slot], 0, n), n)
 		},
 	}
 }

@@ -91,12 +91,21 @@ type QueryOptions struct {
 
 // querySigs carries one query's preprocessed forms: the raw vector
 // (exact similarity), the measure-transformed vector (AllPairs
-// probing), and whichever hash signatures the index compares.
+// probing), and whichever hash signatures the index compares. For the
+// cosine measures bits are lazy's words, hashed only as deep as some
+// comparison has read (sig().BitsTo grows them first); packed 1-bit
+// minhashes are eager and lazy is nil.
 type querySigs struct {
 	raw  vector.Vector
 	work vector.Vector
 	bits []uint64
+	lazy *sighash.LazySig
 	min  []uint32
+}
+
+// sig is the query's signature in the verifier's form.
+func (qs querySigs) sig() core.QuerySig {
+	return core.QuerySig{Bits: qs.bits, Lazy: qs.lazy, Min: qs.min}
 }
 
 // prepare transforms and hashes the query the way the corpus was
@@ -104,9 +113,12 @@ type querySigs struct {
 // (idempotent if already unit-norm), for the binary measures it is
 // binarized and normalized; signatures derive from the engine's
 // seeded families, so a query equal to corpus vector i hashes to
-// exactly i's stored signature prefix. Only the depth the call reads
-// is hashed: banding depth always, verification depth unless the
-// caller (TopK) verifies with exact similarities only.
+// exactly i's stored signature prefix. Minhashes are hashed to the
+// depth the call reads: banding depth always, verification depth
+// unless the caller (TopK) verifies with exact similarities only. Bit
+// signatures are hashed to banding depth only and sized for the
+// verification depth; the verifier and the LSHApprox estimators grow
+// them one block at a time as the deepest live candidate needs.
 func (ix *Index) prepare(q Vec, topK bool) querySigs {
 	e := ix.engine()
 	qs := querySigs{raw: q.v}
@@ -131,7 +143,9 @@ func (ix *Index) prepare(q Vec, topK bool) querySigs {
 		// to any dot product with a corpus vector, so the hyperplane
 		// family hashes the query's projection onto the corpus feature
 		// space; exact verification still uses the full vector.
-		qs.bits = fam.SignatureN(restrictToDim(qs.work, fam.Dim()), bitsDepth)
+		qs.lazy = fam.NewLazySig(restrictToDim(qs.work, fam.Dim()), bitsDepth)
+		qs.lazy.Ensure(ix.bandBits)
+		qs.bits = qs.lazy.Words()
 	}
 	return qs
 }
@@ -314,7 +328,7 @@ func (ix *Index) verifySeg(sv segView, qs querySigs, ids []int32, stop *shard.St
 		return hits, nil
 
 	case AllPairsBayesLSH, LSHBayesLSH:
-		hits, _, err := sv.vq.VerifyQueryStop(core.QuerySig{Bits: qs.bits, Min: qs.min}, ids, stop)
+		hits, _, err := sv.vq.VerifyQueryStop(qs.sig(), ids, stop)
 		if err != nil {
 			return nil, err
 		}
@@ -340,8 +354,7 @@ func (ix *Index) verifySeg(sv segView, qs querySigs, ids []int32, stop *shard.St
 		return hits, nil
 
 	default: // AllPairsBayesLSHLite, LSHBayesLSHLite
-		hits, _, err := sv.vq.VerifyQueryLiteStop(core.QuerySig{Bits: qs.bits, Min: qs.min}, ids, o.LiteHashes,
-			sv.sim, stop)
+		hits, _, err := sv.vq.VerifyQueryLiteStop(qs.sig(), ids, o.LiteHashes, sv.sim, stop)
 		if err != nil {
 			return nil, err
 		}
@@ -356,7 +369,7 @@ func (ix *Index) approxEstimate(qs querySigs, id int32, n int) float64 {
 	if e.measure == Jaccard {
 		return approxJaccardEstimate(minhash.Matches(qs.min, e.minSigStore().Sigs()[id], 0, n), n)
 	}
-	return approxCosineEstimate(sighash.MatchCount(qs.bits, e.bitSigStore().Sigs()[id], 0, n), n)
+	return approxCosineEstimate(sighash.MatchCount(qs.sig().BitsTo(n), e.bitSigStore().Sigs()[id], 0, n), n)
 }
 
 // TopK returns the k corpus vectors most similar to q, among those
